@@ -43,10 +43,44 @@ _SLOW = {
 _STARTUP_S = 30.0
 _FINISH_S = 120.0
 
+#: How long a pool worker may outlive its SIGKILLed server: long enough
+#: to finish the task it holds, then its parent's death reads as EOF.
+_ORPHAN_S = 10.0
+
 
 def _spec(tenant, pair, config):
     return {"tenant": tenant, "pair": pair, "scale": "quick",
             "config": dict(config)}
+
+
+def _children(pid):
+    """Child pids of every thread of ``pid`` (the service forks its pool
+    workers from the dispatcher thread, not the main one)."""
+    children = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        children.update(int(child) for child in path.read_text().split())
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _await_exit(pids, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        alive = {pid for pid in pids if _running(pid)}
+        if not alive:
+            return
+        time.sleep(0.1)
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    raise AssertionError(f"processes {sorted(alive)} outlived their server")
 
 
 class _Serve:
@@ -180,7 +214,14 @@ class TestKillRestartDurability:
             )
             assert status == 202, body
             slow.append(body["job"])
+        pid = server.process.pid
+        tracked = Path(f"/proc/{pid}/task/{pid}/children").exists()
+        workers = _children(pid)
         server.sigkill()
+        # The orphaned pool workers exit on their own: the dead server
+        # reads as EOF (or EPIPE) once they shed the inherited pipe ends.
+        assert workers or not tracked, "the server had no pool worker"
+        _await_exit(workers, _ORPHAN_S)
 
         restarted = serve_factory()
         # The finished job is served from the journal, bit-identically.

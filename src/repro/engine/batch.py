@@ -13,13 +13,14 @@ Each lockstep iteration mirrors the scalar engine's run loop exactly:
   apply to every run standing at its loop top;
 * runs with no active thread schedule: they pick the least-recently-
   dispatched ready thread and elapse its switch overhead (boundary-
-  split, like ``_elapse_inactive``), or idle until the earliest pending
-  miss resolves;
-* runs with an active thread take one ``_step_active``-equivalent step:
-  the time to the next event is the minimum of segment end,
-  instruction-quota exhaustion, cycle-quota exhaustion, sampling
-  boundary, and the cycle cap, with the scalar engine's tie-breaking
-  order (segment end, then instruction quota, then cycle quota).
+  split, like the scalar loop's inactive span), or idle until the
+  earliest pending miss resolves;
+* runs with an active thread take one step equivalent to the scalar
+  loop's active step: the time to the next event is the minimum of
+  segment end, instruction-quota exhaustion, cycle-quota exhaustion,
+  sampling boundary, and the cycle cap, with the scalar engine's
+  tie-breaking order (segment end, then instruction quota, then cycle
+  quota).
 
 The fairness mechanism (counters, Eq. 11-13 estimates, Eq. 9 quotas,
 deficit counters) is evaluated as arrays across runs with the same
@@ -381,9 +382,9 @@ class _Batch:
         )
 
     def _load_segments(self, lanes: "np.ndarray") -> None:
-        """Advance each lane to its next segment (EngineThread's
-        ``_load_next_segment``); lanes whose stream ended are marked
-        done."""
+        """Advance each lane to its next segment (the segment load in the
+        scalar loop's segment completion); lanes whose stream ended are
+        marked done."""
         if lanes.size == 0:
             return
         self._ptr[lanes] += 1
@@ -559,7 +560,8 @@ class _Batch:
         self, runs: "np.ndarray", spans: "np.ndarray", idle: "np.ndarray"
     ) -> None:
         """Pass inactive time to completion, splitting at boundaries --
-        one full ``_elapse_inactive`` call per run, data-parallel.
+        one full inactive span of the scalar run loop per run,
+        data-parallel.
         ``idle`` marks, per run, whether the span accrues to the idle
         counter (True) or to switch overhead (False)."""
         # Fast path: no span reaches within _EPS of its run's next
@@ -732,9 +734,9 @@ class _Batch:
         return np.concatenate(dispatched)
 
     def _complete_segments(self, runs: "np.ndarray") -> None:
-        """``_complete_segment``: account the terminating miss (if any),
-        park or release the thread, load the next segment, and switch
-        out unless this is a miss-free join."""
+        """The scalar loop's segment completion: account the terminating
+        miss (if any), park or release the thread, load the next
+        segment, and switch out unless this is a miss-free join."""
         lanes = runs * self._t + self.active[runs]
         ends_miss = self.seg_miss[lanes]
         self.misses[lanes] += ends_miss
@@ -773,8 +775,8 @@ class _Batch:
         self.state[runs] = _SCHED
 
     def _step_active(self, runs: "np.ndarray") -> None:
-        """One ``_step_active`` per run: advance the active thread to
-        its next event and classify what ended the step."""
+        """One scalar-loop active step per run: advance the active
+        thread to its next event and classify what ended the step."""
         if runs.size == 0:
             return
         now = self.now[runs]
@@ -812,11 +814,9 @@ class _Batch:
                 np.minimum(np.minimum(t_segment, t_instr), t_cycle),
                 np.minimum(t_boundary, t_limit),
             )
-            # At the cycle cap the scalar loop's max_cycles check stops
-            # the run on its next iteration; stopping here is the
-            # terminating equivalent (the prologue would otherwise spin
-            # on a run whose remaining headroom is below _EPS but not
-            # yet zero).
+            # A run whose remaining headroom is below _EPS (but not yet
+            # zero) can advance nothing more: the scalar active step
+            # ends such a run at this point, and so does this one.
             limited = t_limit <= _EPS
             if limited.any():
                 self.state[runs[limited]] = _DONE

@@ -129,19 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
         default="scalar",
         help="engine substrate for SOE simulations: scalar (exact "
              "event-driven reference), batch (vectorized with numpy; "
-             "errors if numpy is missing), or auto (batch when numpy "
-             "is installed, scalar otherwise)",
+             "errors if numpy is missing), or auto (scalar: batch was "
+             "slower at every measured grid size, 64 to 2048 runs; see "
+             "docs/PERFORMANCE.md)",
     )
     parser.add_argument(
         "--shards",
         default="1",
         metavar="auto|N",
-        help="split the vectorized batch portion across N persistent "
-             "pool workers (lane-contiguous shards, merged in global "
-             "order, bit-identical at any count); auto sizes the shard "
-             "count from --jobs and the batch, falling back to the "
-             "in-process batch when sharding cannot pay for itself "
-             "(default 1 = in-process)",
+        help="with --backend batch, split the vectorized portion "
+             "across N persistent pool workers (lane-contiguous shards, "
+             "merged in global order, bit-identical at any count); auto "
+             "sizes the shard count from --jobs and the batch, falling "
+             "back to the in-process batch when sharding cannot pay for "
+             "itself (default 1 = in-process)",
     )
     parser.add_argument(
         "--checkpoint-sync",

@@ -17,10 +17,9 @@ Two backends implement it:
   (see :meth:`EngineBackend.supports`); docs/SIMULATORS.md documents
   the equivalence guarantees.
 
-:func:`get_backend` resolves a backend by name. ``"auto"`` prefers the
-vectorized backend and silently falls back to scalar when numpy is not
-installed, so environments without numpy lose only speed, never
-functionality.
+:func:`get_backend` resolves a backend by name. ``"auto"`` is scalar:
+end to end, batch was slower at every measured grid population, 64 to
+2048 runs (docs/PERFORMANCE.md, "Parallel scalar grid").
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ __all__ = [
     "numpy_available",
 ]
 
-#: Legal ``--backend`` values: the two concrete backends plus the
-#: availability-driven selector.
+#: Legal ``--backend`` values: the two concrete backends plus ``auto``,
+#: the program's own choice between them (see :func:`get_backend`).
 BACKEND_NAMES = ("scalar", "batch", "auto")
 
 
@@ -144,21 +143,18 @@ def get_backend(name: str = "scalar") -> EngineBackend:
 
     ``"scalar"`` always works; ``"batch"`` raises
     :class:`~repro.errors.ConfigurationError` when numpy is missing;
-    ``"auto"`` picks the vectorized backend when numpy is installed and
-    silently falls back to scalar otherwise.
+    ``"auto"`` is scalar, numpy or not (see the module docstring).
     """
     if name not in BACKEND_NAMES:
         raise ConfigurationError(
             f"unknown engine backend {name!r}; expected one of {BACKEND_NAMES}"
         )
-    if name == "scalar":
+    if name != "batch":
         return ScalarBackend()
     if not numpy_available():
-        if name == "auto":
-            return ScalarBackend()
         raise ConfigurationError(
             "the 'batch' engine backend needs numpy, which is not "
-            "installed; use --backend scalar (or auto, which falls back)"
+            "installed; use --backend scalar or auto"
         )
     from repro.engine.batch import BatchBackend
 

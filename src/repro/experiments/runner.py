@@ -30,7 +30,7 @@ through every experiment signature: the CLI installs them once via
 :func:`execution` and every grid consumer picks them up.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``): tasks run under the
-:class:`~repro.experiments.supervisor.Supervisor` (per-task processes,
+:class:`~repro.experiments.supervisor.Supervisor` (worker processes,
 wall-clock timeouts, bounded retries, SIGINT/SIGTERM draining), grids
 journal finished tasks to an append-only checkpoint so interrupted
 sweeps resume bit-identically, and failures surface as a typed manifest
@@ -183,19 +183,21 @@ class ExecutionSettings:
     exact event-driven engine under full supervision; ``"batch"``
     vectorizes supported SOE tasks in-process with numpy (supervision,
     timeouts and fault injection do not apply to the batched portion);
-    ``"auto"`` uses the vectorized backend when numpy is installed.
+    ``"auto"`` is scalar (batch was slower at every measured grid
+    population; docs/PERFORMANCE.md, "Parallel scalar grid"). With
+    ``jobs > 1`` scalar tasks run on the persistent pool, pair by pair.
 
-    ``shards`` splits the vectorized portion across persistent pool
-    workers (:mod:`repro.experiments.sharding`): an integer fixes the
-    shard count, ``"auto"`` sizes it from ``jobs`` and the batch (and
-    falls back to the in-process batch when sharding cannot pay for
-    itself). Sharded execution is supervised -- timeouts, retries, and
-    fault injection apply per shard, and a shard the pool cannot
-    complete falls back to scalar supervised tasks -- and results stay
-    bit-identical at every shard count. ``checkpoint_sync`` picks the
-    journal durability granularity: ``"every"`` fsyncs per task record,
-    ``"shard"`` group-commits each completed shard's records with a
-    single fsync.
+    ``shards`` (``backend="batch"`` only) splits the vectorized portion
+    across persistent pool workers (:mod:`repro.experiments.sharding`):
+    an integer fixes the shard count, ``"auto"`` sizes it from ``jobs``
+    and the batch (and falls back to the in-process batch when sharding
+    cannot pay for itself). Sharded execution is supervised -- timeouts,
+    retries, and fault injection apply per shard, and a shard the pool
+    cannot complete falls back to scalar supervised tasks -- and results
+    stay bit-identical at every shard count. ``checkpoint_sync`` picks
+    the journal durability granularity: ``"every"`` fsyncs per task
+    record, ``"shard"`` group-commits each completed shard's records
+    with a single fsync.
     """
 
     jobs: int = 1
@@ -520,6 +522,28 @@ def _run_grid_task(task: Union[_StTask, _SoeTask]) -> object:
     if isinstance(task, _StTask):
         return _run_st_task(task)
     return _run_soe_task(task)
+
+
+def _pair_major(
+    to_run: Sequence[tuple[int, object]],
+) -> dict[int, Optional[BenchmarkPair]]:
+    """Pool dispatch order for ``to_run``: task index -> its pair.
+
+    Each SOE task follows its pair's not yet dispatched ST baselines
+    (baselines no pending SOE task needs lead, under no pair). The pool
+    keeps a pair on one worker where it can, so its segment memo draws
+    each stream once. Task indices, and so checkpoint keys and fault
+    addresses, keep their meaning.
+    """
+    baselines = {s: i for i, s in to_run if isinstance(s, _StTask)}
+    order: dict[int, Optional[BenchmarkPair]] = {}
+    for position, spec in to_run:
+        if isinstance(spec, _SoeTask):
+            for task in _st_tasks_for(spec.pair, spec.config):
+                if task in baselines:
+                    order[baselines.pop(task)] = spec.pair
+            order[position] = spec.pair
+    return {**dict.fromkeys(baselines.values()), **order}
 
 
 @dataclass(frozen=True)
@@ -1128,14 +1152,18 @@ def run_grid(
                     interrupted=True,
                 )
             else:
+                pooled = settings.jobs > 1
+                order = _pair_major(to_run) if pooled else {}
                 supervisor = Supervisor(
                     call,
-                    to_run,
+                    [(i, specs[i]) for i in order] if pooled else to_run,
                     jobs=min(settings.jobs, max(len(to_run), 1)),
                     policy=settings.policy,
                     descriptor=_task_descriptor,
                     validate=_validate_payload,
                     on_result=_on_result,
+                    pool=pooled,
+                    affinity=order.get,
                 )
                 run = supervisor.run()
             run.retries += shard_retries

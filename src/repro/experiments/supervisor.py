@@ -42,11 +42,15 @@ Two isolation modes share the watching machinery:
 
 * **process-per-task** (the default) -- every attempt gets a fresh
   process, so import/startup cost is paid per task but nothing leaks
-  between attempts;
+  between attempts. Only :func:`~repro.experiments.runner.parallel_map`
+  and ``jobs=1`` grids with a timeout or a process-level fault plan
+  still use it;
 * **persistent pool** (``pool=True``) -- long-lived workers import once
-  and serve many tasks over the same pipe, which is what the sharded
-  batch dispatch wants (a shard is seconds of work; a fresh interpreter
-  per shard would dominate). Supervision is unchanged: a worker that
+  and serve many tasks over the same pipe. The grid runs its
+  ``jobs > 1`` scalar tasks here (a worker's segment memo then serves
+  later tasks of the same pair) and so does the sharded batch dispatch
+  (a shard is seconds of work; a fresh interpreter per shard would
+  dominate). Supervision is unchanged: a worker that
   crashes, hangs past the task timeout, or reports garbage is killed
   and **respawned**, and the task it held is retried under the same
   deterministic accounting as the per-task path.
@@ -416,6 +420,8 @@ class _PoolWorker:
     item: object = None
     attempt: int = 0
     deadline: Optional[float] = None
+    #: affinity group of the last task it took (kept while idle)
+    group: object = None
 
     @property
     def busy(self) -> bool:
@@ -443,6 +449,9 @@ class Supervisor:
     ``pool=True`` swaps the per-task processes for persistent workers
     that serve many tasks each (crashed or hung workers are respawned);
     it changes only *where* a task runs, never what it computes.
+    ``affinity`` maps a task index to a group: an idle pool worker
+    takes the next task of the group it last ran, else the first task
+    of a group no busy worker holds, else the head of the queue.
     """
 
     def __init__(
@@ -456,6 +465,7 @@ class Supervisor:
         validate: Callable[[object], None] = check_invariants,
         on_result: Optional[Callable[[int, object, object], None]] = None,
         pool: bool = False,
+        affinity: Optional[Callable[[int], object]] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be a positive process count")
@@ -467,6 +477,7 @@ class Supervisor:
         self._validate = validate
         self._on_result = on_result
         self._pool = pool
+        self._affinity = affinity
         self._drain = False
         self._hard_abort = False
         self._signals = 0
@@ -803,6 +814,24 @@ class Supervisor:
                 message="pool worker died before accepting the task",
             )
 
+    def _take(
+        self, pending: deque, workers: List[_PoolWorker], worker: _PoolWorker
+    ) -> tuple:
+        """Dequeue the next task for idle ``worker`` (see ``affinity``)."""
+        entry = pending[0]
+        if self._affinity is not None:
+            held = {other.group for other in workers if other.busy}
+            groups = [self._affinity(index) for index, _, _ in pending]
+            if worker.group in groups:
+                entry = pending[groups.index(worker.group)]
+            else:
+                entry = next(
+                    (e for e, g in zip(pending, groups) if g not in held), entry
+                )
+            worker.group = self._affinity(entry[0])
+        pending.remove(entry)
+        return entry
+
     def _retire_worker(
         self, workers: List[_PoolWorker], worker: _PoolWorker
     ) -> None:
@@ -857,7 +886,7 @@ class Supervisor:
                         if pending and not worker.busy:
                             self._assign(
                                 run, pending, workers, worker,
-                                *pending.popleft()
+                                *self._take(pending, workers, worker)
                             )
                 busy = [worker for worker in workers if worker.busy]
                 if not busy:

@@ -4,7 +4,7 @@ The vectorized backend's numerical behaviour is covered by the
 differential suite (tests/integration/test_batch_differential.py); this
 file pins the plumbing: spec validation, the scalar reference backend's
 equivalence to direct ``run_soe`` calls, and name-based resolution
-including the numpy-absent fallback.
+(``auto`` is scalar, with or without numpy).
 """
 
 import pytest
@@ -113,8 +113,10 @@ class TestGetBackend:
         assert isinstance(backend, EngineBackend)
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_auto_prefers_batch_with_numpy(self):
-        assert get_backend("auto").name == "batch"
+    def test_auto_is_scalar_with_numpy(self):
+        # Batch never beat scalar by 1.5x end to end at any measured
+        # population (docs/PERFORMANCE.md, "Parallel scalar grid").
+        assert get_backend("auto").name == "scalar"
 
     def test_auto_falls_back_without_numpy(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)

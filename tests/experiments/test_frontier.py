@@ -106,6 +106,12 @@ class TestFrontierIdentity:
             batched = frontier.run(config, pairs=PAIRS)
         assert batched == result
 
+    @needs_numpy
+    def test_batch_backend_is_bit_identical(self, config, result):
+        with execution(ExecutionSettings(backend="batch")):
+            batched = frontier.run(config, pairs=PAIRS)
+        assert batched == result
+
     def test_cache_and_resume_round_trip(self, config, result, tmp_path):
         checkpoint = tmp_path / "frontier.ckpt"
         with execution(

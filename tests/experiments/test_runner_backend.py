@@ -4,8 +4,9 @@ The backend is an execution setting: it decides *how* SOE tasks are
 advanced (per-task scalar engines under supervision vs. one in-process
 vectorized batch), never *what* the grid computes. Every test here is
 a restatement of that invariant -- batch and auto grids must be
-bit-identical to scalar ones, and checkpoints/caches written by one
-backend must be transparently usable by another.
+bit-identical to scalar ones (``auto`` resolves to scalar), and
+checkpoints/caches written by one backend must be transparently usable
+by another.
 """
 
 import pytest
@@ -57,6 +58,20 @@ class TestGridBackendEquivalence:
 
     def test_auto_grid_bit_identical_to_scalar(self, config, scalar_grid):
         auto = run_grid(config, PAIRS, ExecutionSettings(backend="auto"))
+        assert auto.results == scalar_grid.results
+
+    def test_auto_grid_never_runs_the_batch_backend(
+        self, config, scalar_grid, monkeypatch
+    ):
+        from repro.engine.batch import BatchBackend
+
+        def refuse(self, specs):
+            raise AssertionError("auto ran the batch backend")
+
+        monkeypatch.setattr(BatchBackend, "run_batch", refuse)
+        auto = run_grid(
+            config, PAIRS, ExecutionSettings(backend="auto", shards="auto")
+        )
         assert auto.results == scalar_grid.results
 
     def test_batch_checkpoint_resumes_under_scalar(
